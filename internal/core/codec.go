@@ -99,8 +99,9 @@ func writeIndexed(fs *dfs.FS, path string, b indexedBlock) error {
 	if b.ColIdx != nil && len(b.ColIdx) != b.Data.Cols {
 		return fmt.Errorf("core: writeIndexed %s: %d col indices for %d cols", path, len(b.ColIdx), b.Data.Cols)
 	}
-	var buf bytes.Buffer
-	w := func(v uint32) { _ = binary.Write(&buf, binary.LittleEndian, v) }
+	size := 12 + 4*int64(len(b.RowIdx)+len(b.ColIdx)) + matrix.BinarySize(b.Data.Rows, b.Data.Cols)
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	w := func(v uint32) { _ = binary.Write(buf, binary.LittleEndian, v) }
 	w(indexedMagic)
 	w(uint32(len(b.RowIdx)))
 	w(uint32(len(b.ColIdx)))
@@ -110,55 +111,49 @@ func writeIndexed(fs *dfs.FS, path string, b indexedBlock) error {
 	for _, v := range b.ColIdx {
 		w(uint32(v))
 	}
-	if err := matrix.WriteBinary(&buf, b.Data); err != nil {
+	if err := matrix.WriteBinary(buf, b.Data); err != nil {
 		return err
 	}
 	fs.Write(path, buf.Bytes())
 	return nil
 }
 
-// readIndexed loads an indexed block written by writeIndexed.
+// readIndexed loads an indexed block written by writeIndexed, decoding
+// straight from the file's bytes.
 func readIndexed(rd fsRawReader, path string) (indexedBlock, error) {
 	data, err := rd.read(path)
 	if err != nil {
 		return indexedBlock{}, err
 	}
-	r := bytes.NewReader(data)
-	var magic, nr, nc uint32
-	for _, p := range []*uint32{&magic, &nr, &nc} {
-		if err := binary.Read(r, binary.LittleEndian, p); err != nil {
-			return indexedBlock{}, fmt.Errorf("core: readIndexed %s: %w", path, err)
-		}
+	le := binary.LittleEndian
+	if len(data) < 12 {
+		return indexedBlock{}, fmt.Errorf("core: readIndexed %s: %d-byte header", path, len(data))
 	}
+	magic, nr, nc := le.Uint32(data), le.Uint32(data[4:]), le.Uint32(data[8:])
 	if magic != indexedMagic {
 		return indexedBlock{}, fmt.Errorf("core: readIndexed %s: bad magic %#x", path, magic)
 	}
 	if nr > maxCodecDim || nc > maxCodecDim {
 		return indexedBlock{}, fmt.Errorf("core: readIndexed %s: implausible index counts %dx%d", path, nr, nc)
 	}
-	readIdx := func(n uint32) ([]int, error) {
+	rest := data[12:]
+	if int64(len(rest)) < 4*(int64(nr)+int64(nc)) {
+		return indexedBlock{}, fmt.Errorf("core: readIndexed %s: truncated indices", path)
+	}
+	readIdx := func(n int) []int {
 		if n == 0 {
-			return nil, nil
+			return nil
 		}
 		out := make([]int, n)
 		for i := range out {
-			var v uint32
-			if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-				return nil, err
-			}
-			out[i] = int(v)
+			out[i] = int(le.Uint32(rest[4*i:]))
 		}
-		return out, nil
+		rest = rest[4*n:]
+		return out
 	}
-	rowIdx, err := readIdx(nr)
-	if err != nil {
-		return indexedBlock{}, fmt.Errorf("core: readIndexed %s rows: %w", path, err)
-	}
-	colIdx, err := readIdx(nc)
-	if err != nil {
-		return indexedBlock{}, fmt.Errorf("core: readIndexed %s cols: %w", path, err)
-	}
-	m, err := matrix.ReadBinary(r)
+	rowIdx := readIdx(int(nr))
+	colIdx := readIdx(int(nc))
+	m, err := matrix.DecodeBinary(rest)
 	if err != nil {
 		return indexedBlock{}, fmt.Errorf("core: readIndexed %s payload: %w", path, err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/lu"
 	"repro/internal/mapreduce"
@@ -16,7 +15,10 @@ import (
 // (as columns of (U^T)^-1) — and reducers multiply U^-1 L^-1 on a grid of
 // discrete rows x discrete columns (block wrap over interleaved index
 // classes, which balances load because triangular work varies by index),
-// applying the pivot permutation to produce A^-1.
+// applying the pivot permutation to produce A^-1. Both steps run the
+// row-oriented kernels of package lu (LowerColumns, UpperLowerProduct),
+// which reproduce Equation 4 and a dot-product multiply bit for bit while
+// walking only contiguous rows and skipping the factors' zero triangles.
 //
 // Permutation convention: from PA = LU it follows that
 // A^-1 = U^-1 L^-1 P, a *column* permutation of the product — column k of
@@ -93,9 +95,9 @@ func (st *pipelineState) runInvertJob(hd *luHandle) (*matrix.Dense, error) {
 			return nil, err
 		}
 		for bi, gi := range blk.RowIdx {
-			row := blk.Data.Row(bi)
+			src, dst := blk.Data.Row(bi), out.Row(gi)
 			for bj, gj := range blk.ColIdx {
-				out.Set(gi, gj, row[bj])
+				dst[gj] = src[bj]
 			}
 		}
 	}
@@ -118,21 +120,11 @@ func interleaved(n, m, j int) []int {
 func invertLColumns(rd nodeReader, st *pipelineState, root string, j, mhalf, f2 int, hd *luHandle) error {
 	n := hd.n
 	cols := interleaved(n, mhalf, j)
-	var compact *matrix.Dense
-	if st.opts.StreamingInversion {
-		var err error
-		compact, _, err = streamLowerInverseColumns(func(r0, r1 int) (*matrix.Dense, error) {
-			return hd.readLRows(rd, r0, r1)
-		}, n, cols, true, streamBandRows(n, st.opts.Nodes))
-		if err != nil {
-			return err
-		}
-	} else {
-		l, err := hd.readL(rd)
-		if err != nil {
-			return err
-		}
-		compact = compactColumns(l, cols, true)
+	compact, _, err := lowerInverseBands(func(r0, r1 int) (*matrix.Dense, error) {
+		return hd.readLRows(rd, r0, r1)
+	}, n, cols, true, st.inversionBandRows(n))
+	if err != nil {
+		return err
 	}
 	return writeInterleavedGroups(st, fmt.Sprintf("%s/LINV/L.%d", root, j), compact, cols, f2, false)
 }
@@ -143,51 +135,24 @@ func invertLColumns(rd nodeReader, st *pipelineState, root string, j, mhalf, f2 
 func invertURows(rd nodeReader, st *pipelineState, root string, j, mhalf, f1 int, hd *luHandle) error {
 	n := hd.n
 	rows := interleaved(n, mhalf, j)
-	var compact *matrix.Dense
-	if st.opts.StreamingInversion {
-		var err error
-		compact, _, err = streamLowerInverseColumns(func(r0, r1 int) (*matrix.Dense, error) {
-			return hd.readUTRows(rd, r0, r1)
-		}, n, rows, false, streamBandRows(n, st.opts.Nodes))
-		if err != nil {
-			return err
-		}
-	} else {
-		ut, err := hd.readUT(rd)
-		if err != nil {
-			return err
-		}
-		compact = compactColumns(ut, rows, false)
+	compact, _, err := lowerInverseBands(func(r0, r1 int) (*matrix.Dense, error) {
+		return hd.readUTRows(rd, r0, r1)
+	}, n, rows, false, st.inversionBandRows(n))
+	if err != nil {
+		return err
 	}
 	// Column r of (U^T)^-1 is row r of U^-1.
 	return writeInterleavedGroups(st, fmt.Sprintf("%s/UINV/U.%d", root, j), compact, rows, f1, true)
 }
 
-// streamBandRows picks the streaming band height: one m0-th of the order,
-// at least one row.
-func streamBandRows(n, m0 int) int {
-	b := n / m0
-	if b < 1 {
-		b = 1
+// inversionBandRows is the height of the factor bands the inversion
+// mappers read: the whole factor at once, or with StreamingInversion one
+// m0-th of the order (at least one row).
+func (st *pipelineState) inversionBandRows(n int) int {
+	if !st.opts.StreamingInversion {
+		return n
 	}
-	return b
-}
-
-// compactColumns computes the idx columns of the inverse of lower
-// triangular lt into an n x len(idx) matrix (the in-memory path).
-func compactColumns(lt *matrix.Dense, idx []int, unit bool) *matrix.Dense {
-	n := lt.Rows
-	dst := matrix.New(n, n)
-	for _, c := range idx {
-		lu.InvertLowerColumn(lt, c, unit, dst)
-	}
-	out := matrix.New(n, len(idx))
-	for bi, c := range idx {
-		for r := 0; r < n; r++ {
-			out.Set(r, bi, dst.At(r, c))
-		}
-	}
-	return out
+	return maxIntc(n/st.opts.Nodes, 1)
 }
 
 // writeInterleavedGroups splits the compact column block (column bi is
@@ -196,7 +161,7 @@ func compactColumns(lt *matrix.Dense, idx []int, unit bool) *matrix.Dense {
 // columns become rows of the stored block (used for U^-1 whose natural
 // unit is a row).
 func writeInterleavedGroups(st *pipelineState, base string, compact *matrix.Dense, idx []int, m int, asRows bool) error {
-	n := compact.Rows
+	n, w := compact.Rows, compact.Cols
 	for t := 0; t < m; t++ {
 		var group []int
 		var groupAt []int
@@ -209,15 +174,25 @@ func writeInterleavedGroups(st *pipelineState, base string, compact *matrix.Dens
 		if len(group) == 0 {
 			continue
 		}
-		block := matrix.New(n, len(group))
-		for gi, bi := range groupAt {
-			for r := 0; r < n; r++ {
-				block.Set(r, gi, compact.At(r, bi))
-			}
-		}
-		ib := indexedBlock{ColIdx: group, Data: block}
+		var ib indexedBlock
 		if asRows {
-			ib = indexedBlock{RowIdx: group, Data: block.Transpose()}
+			block := matrix.New(len(group), n)
+			for gi, bi := range groupAt {
+				row := block.Row(gi)
+				for r := range row {
+					row[r] = compact.Data[r*w+bi]
+				}
+			}
+			ib = indexedBlock{RowIdx: group, Data: block}
+		} else {
+			block := matrix.New(n, len(group))
+			for r := 0; r < n; r++ {
+				src, dst := compact.Row(r), block.Row(r)
+				for gi, bi := range groupAt {
+					dst[gi] = src[bi]
+				}
+			}
+			ib = indexedBlock{ColIdx: group, Data: block}
 		}
 		if err := writeIndexed(st.fs, fmt.Sprintf("%s.%d", base, t), ib); err != nil {
 			return err
@@ -233,9 +208,11 @@ func writeInterleavedGroups(st *pipelineState, base string, compact *matrix.Dens
 func multiplyInverseBlock(rd nodeReader, st *pipelineState, root string, r, mhalf, f1, f2, n int, p matrix.Perm) error {
 	rg, cg := r/f2, r%f2
 
-	// Gather U^-1 rows ≡ rg (mod f1) from the U-mappers' .rg files.
-	var uRows []int
-	uData := make(map[int][]float64)
+	// Gather U^-1 rows ≡ rg (mod f1) from the U-mappers' .rg files into
+	// one dense block, row (g-rg)/f1 holding global row g.
+	uRows := interleaved(n, f1, rg)
+	uBlk := matrix.New(len(uRows), n)
+	got := 0
 	for i := 0; i < mhalf; i++ {
 		path := fmt.Sprintf("%s/UINV/U.%d.%d", root, i, rg)
 		if !st.fs.Exists(path) {
@@ -245,14 +222,21 @@ func multiplyInverseBlock(rd nodeReader, st *pipelineState, root string, r, mhal
 		if err != nil {
 			return err
 		}
-		for bi, gidx := range blk.RowIdx {
-			uRows = append(uRows, gidx)
-			uData[gidx] = blk.Data.Row(bi)
+		if blk.Data.Cols != n {
+			return fmt.Errorf("core: %s holds rows of length %d, want %d", path, blk.Data.Cols, n)
 		}
+		for bi, g := range blk.RowIdx {
+			if g >= n || g%f1 != rg {
+				return fmt.Errorf("core: %s holds row %d, not ≡ %d (mod %d)", path, g, rg, f1)
+			}
+			copy(uBlk.Row((g-rg)/f1), blk.Data.Row(bi))
+		}
+		got += len(blk.RowIdx)
 	}
-	// Gather L^-1 columns ≡ cg (mod f2) from the L-mappers' .cg files.
-	var lCols []int
-	lData := make(map[int][]float64)
+	// Gather L^-1 columns ≡ cg (mod f2) from the L-mappers' .cg files the
+	// same way: column (g-cg)/f2 of the block holds global column g.
+	lCols := interleaved(n, f2, cg)
+	lBlk := matrix.New(n, len(lCols))
 	for i := 0; i < mhalf; i++ {
 		path := fmt.Sprintf("%s/LINV/L.%d.%d", root, i, cg)
 		if !st.fs.Exists(path) {
@@ -262,33 +246,37 @@ func multiplyInverseBlock(rd nodeReader, st *pipelineState, root string, r, mhal
 		if err != nil {
 			return err
 		}
-		for bj, gidx := range blk.ColIdx {
-			col := make([]float64, blk.Data.Rows)
-			for row := 0; row < blk.Data.Rows; row++ {
-				col[row] = blk.Data.At(row, bj)
-			}
-			lCols = append(lCols, gidx)
-			lData[gidx] = col
+		if blk.Data.Rows != n {
+			return fmt.Errorf("core: %s holds columns of length %d, want %d", path, blk.Data.Rows, n)
 		}
+		at := make([]int, len(blk.ColIdx))
+		for bj, g := range blk.ColIdx {
+			if g >= n || g%f2 != cg {
+				return fmt.Errorf("core: %s holds column %d, not ≡ %d (mod %d)", path, g, cg, f2)
+			}
+			at[bj] = (g - cg) / f2
+		}
+		for k := 0; k < n; k++ {
+			src, dst := blk.Data.Row(k), lBlk.Row(k)
+			for bj, c := range at {
+				dst[c] = src[bj]
+			}
+		}
+		got += len(at)
 	}
 	if len(uRows) == 0 || len(lCols) == 0 {
 		return nil
 	}
-	sort.Ints(uRows)
-	sort.Ints(lCols)
+	if got != len(uRows)+len(lCols) {
+		return fmt.Errorf("core: reducer %d gathered %d of %d U^-1 rows and L^-1 columns", r, got, len(uRows)+len(lCols))
+	}
 
-	// C[i][j] = dot(U^-1 row i, L^-1 col j); final column index is p[j].
-	out := matrix.New(len(uRows), len(lCols))
+	// C = U^-1 rows x L^-1 columns, skipping both zero triangles; the
+	// final column index of L^-1 column c is p[c].
+	out := lu.UpperLowerProduct(uBlk, uRows, lBlk, lCols)
 	colIdx := make([]int, len(lCols))
 	for bj, c := range lCols {
 		colIdx[bj] = p[c]
-	}
-	for bi, ri := range uRows {
-		urow := uData[ri]
-		orow := out.Row(bi)
-		for bj, c := range lCols {
-			orow[bj] = matrix.Dot(urow, lData[c])
-		}
 	}
 	return writeIndexed(st.fs, fmt.Sprintf("%s/INV/A.%d", root, r),
 		indexedBlock{RowIdx: uRows, ColIdx: colIdx, Data: out})

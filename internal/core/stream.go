@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/lu"
 	"repro/internal/matrix"
 )
 
@@ -11,9 +12,9 @@ import (
 // full factor: they read the N(d) factor files progressively ("these
 // files are read into memory recursively", Section 6.1). This file
 // implements that access pattern: row bands of L (and of U^T) are
-// assembled on demand, and the column-independent Equation 4 recurrences
-// consume the factor one band at a time, keeping only the output columns
-// and the current band resident.
+// assembled on demand, and the row-oriented Equation 4 kernel
+// (lu.LowerColumns) consumes the factor one band at a time, keeping only
+// the output columns and the current band resident.
 
 // readLRows assembles rows [r0, r1) of the unit lower factor: a
 // (r1-r0) x n matrix. Leaf files are at most nb x nb, so peak extra
@@ -132,60 +133,34 @@ func (hd *luHandle) readUTRows(rd fsReader, r0, r1 int) (*matrix.Dense, error) {
 // bandReader yields consecutive row bands of a factor.
 type bandReader func(r0, r1 int) (*matrix.Dense, error)
 
-// streamStats reports a streaming inversion's memory behaviour.
+// streamStats reports a band-wise inversion's memory behaviour.
 type streamStats struct {
 	bands     int
 	peakElems int // largest simultaneously-resident element count
 }
 
-// streamLowerInverseColumns computes the given columns of the inverse of
+// lowerInverseBands computes the given (sorted) columns of the inverse of
 // a unit (or general) lower triangular factor of order n, reading the
 // factor in row bands of height bandRows and keeping only the current
-// band plus the output columns in memory (Equation 4, streamed).
-func streamLowerInverseColumns(read bandReader, n int, cols []int, unitDiagonal bool, bandRows int) (*matrix.Dense, *streamStats, error) {
+// band plus the output columns in memory. It is the only inversion path
+// of the final job's mappers: the in-memory mappers read one band of n
+// rows, the streaming ones bands of n/m0.
+func lowerInverseBands(read bandReader, n int, cols []int, unitDiagonal bool, bandRows int) (*matrix.Dense, *streamStats, error) {
 	if bandRows < 1 {
 		bandRows = 1
 	}
-	out := matrix.New(n, len(cols))
-	colAt := make(map[int]int, len(cols)) // global col -> output index
-	for bi, c := range cols {
-		colAt[c] = bi
-	}
+	inv := lu.NewLowerColumns(n, cols, unitDiagonal)
 	st := &streamStats{}
 	for r0 := 0; r0 < n; r0 += bandRows {
-		r1 := minInt(r0+bandRows, n)
-		band, err := read(r0, r1)
+		band, err := read(r0, minInt(r0+bandRows, n))
 		if err != nil {
 			return nil, nil, err
 		}
 		st.bands++
-		if e := band.Rows*band.Cols + out.Rows*out.Cols; e > st.peakElems {
+		if e := band.Rows*band.Cols + n*len(cols); e > st.peakElems {
 			st.peakElems = e
 		}
-		for i := r0; i < r1; i++ {
-			row := band.Row(i - r0)
-			diag := row[i]
-			if unitDiagonal {
-				diag = 1
-			}
-			for bi, c := range cols {
-				switch {
-				case i < c:
-					// above the column's diagonal: zero
-				case i == c:
-					out.Set(i, bi, 1/diag)
-				default:
-					var s float64
-					for k := c; k < i; k++ {
-						if lv := row[k]; lv != 0 {
-							s += lv * out.At(k, bi)
-						}
-					}
-					out.Set(i, bi, -s/diag)
-				}
-				_ = bi
-			}
-		}
+		inv.Add(band)
 	}
-	return out, st, nil
+	return inv.Inverse(), st, nil
 }

@@ -94,7 +94,7 @@ func TestStreamLowerInverseColumns(t *testing.T) {
 		lu.InvertLowerColumn(l, c, true, want)
 	}
 	for _, band := range []int{1, 5, 16, 100} {
-		got, st, err := streamLowerInverseColumns(func(r0, r1 int) (*matrix.Dense, error) {
+		got, st, err := lowerInverseBands(func(r0, r1 int) (*matrix.Dense, error) {
 			return l.Block(r0, r1, 0, n), nil
 		}, n, cols, true, band)
 		if err != nil {
@@ -114,9 +114,9 @@ func TestStreamLowerInverseColumns(t *testing.T) {
 }
 
 func TestStreamingPeakMemoryBounded(t *testing.T) {
-	// The streaming pass must never hold the full n x n factor: with band
-	// height n/8 and 2 output columns its peak is (n/8)*n + 2n elements,
-	// far below n^2.
+	// The streaming mappers must never hold the full n x n factor: with
+	// band height n/8 (the height inversionBandRows picks on 8 nodes) and 2
+	// output columns the peak is (n/8)*n + 2n elements, far below n^2.
 	n := 64
 	a := workload.DiagonallyDominant(n, 2004)
 	f, err := lu.Decompose(a)
@@ -124,9 +124,9 @@ func TestStreamingPeakMemoryBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := f.L()
-	_, st, err := streamLowerInverseColumns(func(r0, r1 int) (*matrix.Dense, error) {
+	_, st, err := lowerInverseBands(func(r0, r1 int) (*matrix.Dense, error) {
 		return l.Block(r0, r1, 0, n), nil
-	}, n, []int{3, 40}, true, n/8)
+	}, n, []int{3, 40}, true, (&pipelineState{opts: Options{Nodes: 8, StreamingInversion: true}}).inversionBandRows(n))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import (
 
 // WriteMatrix stores m at path in the binary matrix format.
 func (fs *FS) WriteMatrix(path string, m *matrix.Dense) error {
-	var buf bytes.Buffer
-	if err := matrix.WriteBinary(&buf, m); err != nil {
+	buf := bytes.NewBuffer(make([]byte, 0, matrix.BinarySize(m.Rows, m.Cols)))
+	if err := matrix.WriteBinary(buf, m); err != nil {
 		return fmt.Errorf("dfs: WriteMatrix %s: %w", path, err)
 	}
 	fs.Write(path, buf.Bytes())
@@ -24,8 +24,8 @@ func (fs *FS) WriteMatrix(path string, m *matrix.Dense) error {
 // (see WriteFrom): writer is the producing datanode (-1 for the master)
 // and nodes the favored replica holders.
 func (fs *FS) WriteMatrixFrom(path string, m *matrix.Dense, writer int, nodes []int) error {
-	var buf bytes.Buffer
-	if err := matrix.WriteBinary(&buf, m); err != nil {
+	buf := bytes.NewBuffer(make([]byte, 0, matrix.BinarySize(m.Rows, m.Cols)))
+	if err := matrix.WriteBinary(buf, m); err != nil {
 		return fmt.Errorf("dfs: WriteMatrixFrom %s: %w", path, err)
 	}
 	fs.WriteFrom(path, buf.Bytes(), writer, nodes)
@@ -38,7 +38,7 @@ func (fs *FS) ReadMatrix(path string) (*matrix.Dense, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := matrix.ReadBinary(bytes.NewReader(data))
+	m, err := matrix.DecodeBinary(data)
 	if err != nil {
 		return nil, fmt.Errorf("dfs: ReadMatrix %s: %w", path, err)
 	}
@@ -52,7 +52,7 @@ func (fs *FS) ReadMatrixFrom(path string, node int) (*matrix.Dense, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := matrix.ReadBinary(bytes.NewReader(data))
+	m, err := matrix.DecodeBinary(data)
 	if err != nil {
 		return nil, fmt.Errorf("dfs: ReadMatrixFrom %s: %w", path, err)
 	}

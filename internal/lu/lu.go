@@ -183,18 +183,16 @@ func (f *Factorization) Solve(b *matrix.Dense) (*matrix.Dense, error) {
 
 // Inverse computes A^-1 = U^-1 L^-1 P from the factorization, the paper's
 // Section 4.3 procedure: invert both triangular factors via Equation 4,
-// multiply, and undo pivoting by permuting columns.
+// multiply (skipping the zero triangles), and undo pivoting by permuting
+// columns.
 func (f *Factorization) Inverse() (*matrix.Dense, error) {
 	linv := LowerInverse(f.L(), true)
 	uinv, err := UpperInverse(f.U())
 	if err != nil {
 		return nil, err
 	}
-	prod, err := matrix.Mul(uinv, linv)
-	if err != nil {
-		return nil, err
-	}
-	return f.P.ApplyCols(prod), nil
+	all := allIndices(f.Order())
+	return f.P.ApplyCols(UpperLowerProduct(uinv, all, linv, all)), nil
 }
 
 // Invert is the convenience single-node inversion: Decompose + Inverse.
@@ -215,20 +213,25 @@ func Invert(a *matrix.Dense) (*matrix.Dense, error) {
 // If unitDiagonal is true the diagonal of l is assumed to be all ones
 // regardless of the stored values (the paper's convention lii = 1.0).
 // Column j of the inverse depends only on column j — the independence the
-// paper exploits to parallelize triangular inversion across mappers.
+// paper exploits to parallelize triangular inversion across mappers. The
+// work runs row by row through LowerInverseColumns.
 func LowerInverse(l *matrix.Dense, unitDiagonal bool) *matrix.Dense {
-	n := l.Rows
-	inv := matrix.New(n, n)
-	for j := 0; j < n; j++ {
-		InvertLowerColumn(l, j, unitDiagonal, inv)
+	return LowerInverseColumns(l, allIndices(l.Rows), unitDiagonal)
+}
+
+// allIndices returns 0, 1, ..., n-1.
+func allIndices(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
 	}
-	return inv
+	return idx
 }
 
 // InvertLowerColumn computes column j of the inverse of lower-triangular l
-// directly into dst. It is the per-task unit of the triangular-inversion
-// MapReduce job (Section 5.4): distinct columns can be computed by distinct
-// workers with no communication.
+// directly into dst, as Equation 4 reads: one column at a time. It is the
+// reference the row-oriented kernels (LowerInverseColumns) are tested
+// against bit for bit; nothing on a hot path calls it.
 func InvertLowerColumn(l *matrix.Dense, j int, unitDiagonal bool, dst *matrix.Dense) {
 	n := l.Rows
 	diag := func(i int) float64 {

@@ -2,10 +2,11 @@ package matrix
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
-// Native fuzz targets for the three on-disk codecs. Under plain `go test`
+// Native fuzz targets for the on-disk codecs. Under plain `go test`
 // these run the seed corpus; `go test -fuzz=FuzzReadBinary ./internal/matrix`
 // explores further. The invariant in each: arbitrary input must never
 // panic, and when parsing succeeds the value must re-encode and re-parse
@@ -58,6 +59,47 @@ func FuzzReadBinary(f *testing.F) {
 		}
 		if !Equal(again, m, 0) && IsFinite(m) {
 			t.Fatal("round-trip changed finite values")
+		}
+	})
+}
+
+// FuzzDecodeBinary checks the slice decoder against the streaming one:
+// on every input both return the same matrix, bit for bit, or both fail.
+// The streaming side reads through ReadBinaryLimit bounded by one byte
+// past the input's length (a limit of 0 would mean none): on inputs that
+// hold their whole payload that is ReadBinary, and on the rest ReadBinary
+// fails too, only after allocating what the header asks for.
+func FuzzDecodeBinary(f *testing.F) {
+	var seed bytes.Buffer
+	_ = WriteBinary(&seed, FromRows([][]float64{{1, -0.0}, {3, 4}, {5, 6}}))
+	whole := seed.Bytes()
+	f.Add(whole)
+	f.Add(append(append([]byte(nil), whole...), 0xde, 0xad)) // trailing bytes
+	for _, cut := range []int{0, 3, 11, 12, 13, len(whole) - 1} {
+		f.Add(append([]byte(nil), whole[:cut]...)) // truncated
+	}
+	bad := append([]byte(nil), whole...)
+	bad[0] ^= 0xff
+	f.Add(bad)                                                          // bad magic
+	f.Add([]byte{0x36, 0x52, 0x58, 0x4d, 0, 0, 0, 1, 0, 0, 0, 1})       // 1<<24 x 1<<24, no payload
+	f.Add([]byte{0x36, 0x52, 0x58, 0x4d, 1, 0, 0, 1, 1, 0, 0, 0})       // rows past the dimension cap
+	f.Add([]byte{0x36, 0x52, 0x58, 0x4d, 0, 0, 0, 0, 0xff, 0xff, 0, 0}) // 0 x 65535: empty
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, gerr := DecodeBinary(data)
+		want, werr := ReadBinaryLimit(bytes.NewReader(data), int64(len(data))+1)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("DecodeBinary err %v, ReadBinary err %v", gerr, werr)
+		}
+		if gerr != nil {
+			return
+		}
+		if got.Rows != want.Rows || got.Cols != want.Cols || len(got.Data) != len(want.Data) {
+			t.Fatalf("shape %dx%d, ReadBinary %dx%d", got.Rows, got.Cols, want.Rows, want.Cols)
+		}
+		for i, v := range got.Data {
+			if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("element %d: %v vs ReadBinary %v", i, v, want.Data[i])
+			}
 		}
 	})
 }

@@ -146,6 +146,36 @@ func ReadBinaryLimit(r io.Reader, maxBytes int64) (*Dense, error) {
 	return m, nil
 }
 
+// DecodeBinary parses the binary format from b, an encoding already held
+// in memory (a DFS file, a stored block). It accepts exactly what
+// ReadBinary accepts, bytes after the payload included, and decodes the
+// elements straight from b. It checks that b holds the whole payload
+// before allocating, so a header can never demand more memory than the
+// bytes it came with. Streams (HTTP bodies) go through ReadBinaryLimit.
+func DecodeBinary(b []byte) (*Dense, error) {
+	if len(b) < 12 {
+		return nil, fmt.Errorf("matrix: DecodeBinary header: %d of 12 bytes: %w", len(b), io.ErrUnexpectedEOF)
+	}
+	magic := binary.LittleEndian.Uint32(b)
+	rows, cols := binary.LittleEndian.Uint32(b[4:]), binary.LittleEndian.Uint32(b[8:])
+	if magic != binaryMagic {
+		return nil, fmt.Errorf("matrix: DecodeBinary bad magic %#x", magic)
+	}
+	if rows > 1<<24 || cols > 1<<24 {
+		return nil, fmt.Errorf("matrix: DecodeBinary implausible dims %dx%d", rows, cols)
+	}
+	if size := BinarySize(int(rows), int(cols)); int64(len(b)) < size {
+		return nil, fmt.Errorf("matrix: DecodeBinary %dx%d needs %d bytes, have %d: %w",
+			rows, cols, size, len(b), io.ErrUnexpectedEOF)
+	}
+	m := New(int(rows), int(cols))
+	p := b[12:]
+	for i := range m.Data {
+		m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+	}
+	return m, nil
+}
+
 // BinarySize returns the exact byte size of an r x c matrix in the binary
 // format. Used for Table 3 style size reporting.
 func BinarySize(r, c int) int64 { return 12 + 8*int64(r)*int64(c) }

@@ -370,23 +370,24 @@ func (iv *Inverter) invertFromFactors(f *factors) (*matrix.Dense, error) {
 	// Stage: product grid blocks of U^-1 L^-1, pivot applied.
 	prod := iv.track(iv.Ctx.JoinWith("A-1@final", bands, []*RDD{uinv, linv},
 		func(part int, deps [][]Record) ([]Record, error) {
-			// Rows of the output assigned to this partition: r ≡ part (mod bands).
-			uCols := gatherCols(deps[0])
-			lCols := gatherCols(deps[1])
+			// Rows of the output assigned to this partition: r ≡ part (mod
+			// bands). Row r of U^-1 is column r of (U^T)^-1.
+			rows := interleavedIdx(n, bands, part)
+			uRows, err := gatherCols(deps[0], n, rows, true)
+			if err != nil {
+				return nil, fmt.Errorf("spark: U^-1: %w", err)
+			}
+			all := interleavedIdx(n, 1, 0)
+			lCols, err := gatherCols(deps[1], n, all, false)
+			if err != nil {
+				return nil, fmt.Errorf("spark: L^-1: %w", err)
+			}
+			prod := lu.UpperLowerProduct(uRows, rows, lCols, all)
 			var out []Record
-			for r := part; r < n; r += bands {
-				// Row r of U^-1 is column r of (U^T)^-1.
-				urow, ok := uCols[r]
-				if !ok {
-					return nil, fmt.Errorf("spark: missing U^-1 row %d", r)
-				}
+			for bi, r := range rows {
 				rowOut := matrix.New(1, n)
-				for c := 0; c < n; c++ {
-					lcol, ok := lCols[c]
-					if !ok {
-						return nil, fmt.Errorf("spark: missing L^-1 col %d", c)
-					}
-					rowOut.Set(0, p[c], matrix.Dot(urow, lcol))
+				for c, v := range prod.Row(bi) {
+					rowOut.Data[p[c]] = v
 				}
 				out = append(out, block{r0: r, r1: r + 1, c0: 0, c1: n, m: rowOut})
 			}
@@ -400,46 +401,66 @@ func (iv *Inverter) invertFromFactors(f *factors) (*matrix.Dense, error) {
 	return assembleRegion(recs, 0, n, 0, n)
 }
 
-// invertColumns computes the interleaved columns {c ≡ part (mod bands)}
-// of the inverse of lower-triangular lt (unit diagonal when unit).
-func invertColumns(lt *matrix.Dense, n, bands, part int, unit bool) []Record {
+// interleavedIdx returns {c ≡ part (mod bands) : 0 ≤ c < n}, ascending.
+func interleavedIdx(n, bands, part int) []int {
 	var idx []int
 	for c := part; c < n; c += bands {
 		idx = append(idx, c)
 	}
+	return idx
+}
+
+// invertColumns computes the interleaved columns {c ≡ part (mod bands)}
+// of the inverse of lower-triangular lt (unit diagonal when unit).
+func invertColumns(lt *matrix.Dense, n, bands, part int, unit bool) []Record {
+	idx := interleavedIdx(n, bands, part)
 	if len(idx) == 0 {
 		return nil
 	}
-	dst := matrix.New(n, n)
-	for _, c := range idx {
-		lu.InvertLowerColumn(lt, c, unit, dst)
-	}
-	m := matrix.New(n, len(idx))
-	for bi, c := range idx {
-		for r := 0; r < n; r++ {
-			m.Set(r, bi, dst.At(r, c))
-		}
-	}
-	return []Record{colsRec{idx: idx, m: m}}
+	return []Record{colsRec{idx: idx, m: lu.LowerInverseColumns(lt, idx, unit)}}
 }
 
-// gatherCols indexes colsRec records by global column index.
-func gatherCols(recs []Record) map[int][]float64 {
-	out := map[int][]float64{}
+// gatherCols collects the inverse columns want (ascending) of order n from
+// colsRec records into one dense block: n x len(want), or len(want) x n
+// when asRows.
+func gatherCols(recs []Record, n int, want []int, asRows bool) (*matrix.Dense, error) {
+	at := make([]int, n)
+	for i := range at {
+		at[i] = -1
+	}
+	for i, c := range want {
+		at[c] = i
+	}
+	out := matrix.New(n, len(want))
+	if asRows {
+		out = matrix.New(len(want), n)
+	}
+	found := 0
 	for _, rec := range recs {
 		cr, ok := rec.(colsRec)
 		if !ok {
 			continue
 		}
 		for bi, c := range cr.idx {
-			col := make([]float64, cr.m.Rows)
-			for r := 0; r < cr.m.Rows; r++ {
-				col[r] = cr.m.At(r, bi)
+			if c < 0 || c >= n || at[c] < 0 {
+				continue
 			}
-			out[c] = col
+			for r := 0; r < n; r++ {
+				v := cr.m.Data[r*cr.m.Cols+bi]
+				if asRows {
+					out.Data[at[c]*n+r] = v
+				} else {
+					out.Data[r*len(want)+at[c]] = v
+				}
+			}
+			at[c] = -1 // each column counts once
+			found++
 		}
 	}
-	return out
+	if found != len(want) {
+		return nil, fmt.Errorf("%d of %d columns missing", len(want)-found, len(want))
+	}
+	return out, nil
 }
 
 func minI(a, b int) int {

@@ -223,7 +223,7 @@ func decodeIndexed(v []byte) (int, *matrix.Dense, error) {
 		return 0, nil, fmt.Errorf("tsqr: indexed value too short (%d bytes)", len(v))
 	}
 	i := int(binary.LittleEndian.Uint32(v[:4]))
-	m, err := matrix.ReadBinary(bytes.NewReader(v[4:]))
+	m, err := matrix.DecodeBinary(v[4:])
 	if err != nil {
 		return 0, nil, err
 	}
