@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover cover-check bench bench-smoke chaos-smoke fleet-smoke lstsq-smoke incr-smoke transfer-check experiments examples trace serve load fmt vet lint mrlint clean
+.PHONY: all build test race cover cover-check bench bench-smoke chaos-smoke fleet-smoke lstsq-smoke incr-smoke transfer-check deadpkg-check experiments examples trace serve load fmt vet lint mrlint clean
 
 all: build test
 
@@ -113,6 +113,20 @@ bench-smoke:
 # (with the replicated strategy required to keep beating single-round).
 transfer-check:
 	$(GO) run repro/cmd/transfercheck
+
+# Dead-package gate, as run by CI: every package under internal/ must be
+# reachable from the root package, a command or an example. Packages that
+# only tests or benchmarks import do not stay; names ending in "test"
+# (test helpers such as analysis/analysistest) are exempt.
+deadpkg-check:
+	@live="$$(mktemp)"; \
+	$(GO) list -deps . ./cmd/... ./examples/... | sort > "$$live"; \
+	dead="$$($(GO) list ./internal/... | grep -v 'test$$' | sort | comm -23 - "$$live")"; \
+	rm -f "$$live"; \
+	if [ -n "$$dead" ]; then \
+		echo "internal packages only tests or benchmarks import:"; echo "$$dead"; exit 1; \
+	fi; \
+	echo "deadpkg-check: every internal package is reachable"
 
 # Seeded fleet smoke, as run by CI: drive a saturating skewed mix at an
 # in-process 4-shard federated fleet with two tenant classes and tight

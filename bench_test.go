@@ -12,11 +12,9 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cholesky"
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/dfs"
-	"repro/internal/gaussjordan"
 	"repro/internal/lu"
 	"repro/internal/mapreduce"
 	"repro/internal/matrix"
@@ -270,8 +268,6 @@ func BenchmarkKernelMul(b *testing.B) {
 		{"ikj", func() error { _, err := matrix.Mul(x, y); return err }},
 		{"naive-ijk", func() error { _, err := matrix.MulNaiveColumnOrder(x, y); return err }},
 		{"transB", func() error { _, err := matrix.MulTransB(x, y.Transpose()); return err }},
-		{"blocked", func() error { _, err := matrix.MulBlocked(x, y, 0); return err }},
-		{"parallel", func() error { _, err := matrix.MulParallel(x, y); return err }},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
@@ -286,22 +282,12 @@ func BenchmarkKernelMul(b *testing.B) {
 
 func BenchmarkKernelLUDecompose(b *testing.B) {
 	a := workload.Random(benchOrder, 22)
-	b.Run("scalar", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := lu.Decompose(a); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := lu.Decompose(a); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("blocked", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := lu.DecomposeBlocked(a, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 func BenchmarkKernelTriangularInverse(b *testing.B) {
@@ -326,34 +312,9 @@ func BenchmarkKernelInverters(b *testing.B) {
 			}
 		}
 	})
-	b.Run("gaussjordan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := gaussjordan.Invert(a); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("qr", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := qr.Invert(a); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cholesky-spd", func(b *testing.B) {
-		spd := workload.SPD(128, 24)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := cholesky.Invert(spd); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("lu-spd", func(b *testing.B) {
-		spd := workload.SPD(128, 24)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := lu.Invert(spd); err != nil {
 				b.Fatal(err)
 			}
 		}

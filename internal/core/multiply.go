@@ -51,9 +51,11 @@ func (p *Pipeline) MultiplyWithReport(a, b *matrix.Dense) (*matrix.Dense, *Multi
 		plan: pl,
 		m0:   p.Opts.Nodes,
 		rows: a.Rows, inner: a.Cols, cols: b.Cols,
-		root:    p.Opts.Root + "/MUL",
-		durable: p.Cluster.Faults != nil,
+		root:        p.Opts.Root + "/MUL",
+		replication: p.FS.Replication(),
+		durable:     p.Cluster.Faults != nil,
 	}
+	geom.pin = geom.owner
 	p.FS.DeleteTree(geom.root)
 
 	rep := &MultiplyReport{Strategy: pl.strategy, Rho: pl.rho, Grid: [2]int{pl.g1, pl.g2}}

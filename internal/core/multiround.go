@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mapreduce"
 	"repro/internal/matrix"
@@ -32,9 +33,10 @@ import (
 //
 // All three strategies produce bit-identical results to the sequential
 // segmented reference matrix.MulSegTransB over the same segment bounds:
-// every partial is formed by matrix.MulAddTransB (the MulTransB row-dot
-// kernel) and folded in ascending segment order, so the floating-point
-// operations and their order match the reference exactly.
+// every partial is formed by the MulTransB row-dot kernel (MulAddTransB
+// when accumulating into a running block) and folded in ascending segment
+// order, so the floating-point operations and their order match the
+// reference exactly.
 
 // mulPlan is the resolved execution shape of one distributed product.
 type mulPlan struct {
@@ -145,17 +147,32 @@ type mulGeom struct {
 	m0                int
 	rows, inner, cols int
 	root              string
-	// durable gives single-replica intermediates (partials, round state,
-	// narrow pieces) a backup replica so a node kill under fault
+	// replication is the file system's replication factor.
+	replication int
+	// durable pads single-replica intermediates (partials, round state,
+	// narrow pieces) to the replication factor so a node kill under fault
 	// injection cannot strand the only copy. Off in clean runs, where it
 	// would distort the transfer accounting the CI gate pins.
 	durable bool
-	// mapPrefer overrides the piece-writing map tasks' placement; nil
-	// pins map task t to node t % m0 (right when task t's pieces are read
-	// on node t, as in the standalone multiply's task grid). The block-LU
-	// levels pin each band solver onto a reader of its own pieces instead.
-	mapPrefer func(t int) []int
+	// colWalk stores B in natural orientation and forms every product
+	// with the Equation 7 column walk (matrix.MulNaiveColumnOrder) — the
+	// Figure 7 comparator for TransposeU = false. Off, B is stored
+	// transposed and multiplied with the Equation 8 row-dot kernel.
+	colWalk bool
+	// pin places the piece-writing map task t and is the one switch
+	// between the two schedules. Set, every task is pinned strictly:
+	// map task t to pin(t), every other task to node t % m0, so
+	// favored-placement reads stay local and the transfer accounting is
+	// reproducible. Nil, the jobs keep the scheduler's default
+	// placement (no preference, bounded delay scheduling) — the
+	// single-round block-LU level, where strict locality's requeue loop
+	// costs more than the local reads save.
+	pin func(t int) []int
 }
+
+// owner pins task t to node t % m0 — right when task t's pieces are read
+// on node t, as in the standalone multiply's task grid.
+func (g mulGeom) owner(t int) []int { return []int{t % g.m0} }
 
 // split decomposes reduce task t of the first job into (segment, i, j).
 func (g mulGeom) split(t int) (s, i, j int) {
@@ -209,12 +226,36 @@ func (g mulGeom) btPieceReaders(j, s int) []int {
 	return nodes
 }
 
-// withBackup pads a placement to two replicas under fault injection.
+// withBackup pads a transient piece's placement (partials, round state)
+// to the replication factor under fault injection; clean runs keep the
+// single favored replica.
 func (g mulGeom) withBackup(nodes []int) []int {
-	if !g.durable || len(nodes) >= 2 || g.m0 < 2 || len(nodes) == 0 {
+	if !g.durable {
 		return nodes
 	}
-	return append(nodes, (nodes[0]+1)%g.m0)
+	return g.replicate(nodes)
+}
+
+// replicate pads a placement to the replication factor with the nodes
+// following nodes[0], keeping the requested nodes first. Long-lived
+// pieces (the block-LU factors that later levels, Solve and the final
+// inversion read) always carry the full factor. An unpinned job's tasks
+// may read from any node, so extra reader copies buy nothing there and
+// the placement is cut to exactly the factor.
+func (g mulGeom) replicate(nodes []int) []int {
+	if g.pin == nil && len(nodes) > g.replication {
+		return nodes[:g.replication]
+	}
+	if len(nodes) == 0 || len(nodes) >= g.replication {
+		return nodes
+	}
+	out := append(make([]int, 0, g.replication), nodes...)
+	for k := 1; k < g.m0 && len(out) < g.replication; k++ {
+		if nd := (nodes[0] + k) % g.m0; !slices.Contains(out, nd) {
+			out = append(out, nd)
+		}
+	}
+	return out
 }
 
 // pieceWriter materializes the operand pieces owned by map task t,
@@ -222,7 +263,7 @@ func (g mulGeom) withBackup(nodes []int) []int {
 type pieceWriter func(ctx *mapreduce.TaskContext, t int) error
 
 // segReader loads one operand segment: A's row band i (resp. B^T's
-// column band j) restricted to inner segment s.
+// column band j, or B's under colWalk) restricted to inner segment s.
 type segReader func(rd fsReader, band, s int) (*matrix.Dense, error)
 
 // finishFunc consumes the finished product block (i, j) inside the task
@@ -247,29 +288,30 @@ func numericPartition(key string, n int) int {
 // reducers form (partial) products, then the plan's extra rounds. run
 // executes a job through the caller (attaching spans, recording results);
 // writePieces, readA, readBT and finish bind the product's operands and
-// output. Every task is pinned to its deterministic node via Prefer /
-// PreferReduce so favored-placement reads stay local and the transfer
-// accounting is reproducible.
+// output. geom.pin chooses the schedule of every job.
 func runMulRounds(geom mulGeom, names mulNames, run func(*mapreduce.Job) error,
 	writePieces pieceWriter, readA, readBT segReader, finish finishFunc) error {
 	pl := geom.plan
-	prefer := func(t int) []int { return []int{t % geom.m0} }
-	mapPrefer := geom.mapPrefer
-	if mapPrefer == nil {
-		mapPrefer = prefer
-	}
 	grid := pl.g1 * pl.g2
+	// pinned applies the pinned schedule to job when geom asks for one:
+	// map tasks on mapPrefer, reducers on their owner, strictly.
+	pinned := func(job *mapreduce.Job, mapPrefer func(int) []int) *mapreduce.Job {
+		if geom.pin != nil {
+			job.Prefer, job.PreferReduce, job.StrictLocality = mapPrefer, geom.owner, true
+		}
+		return job
+	}
 
 	// accumulate folds segment s of block (i, j) into state with the
 	// reference kernel; a nil state starts a fresh block.
 	accumulate := func(rd fsReader, state *matrix.Dense, i, j, s int) (*matrix.Dense, error) {
 		rlo, rhi := geom.rowBand(i)
 		clo, chi := geom.colBand(j)
-		if state == nil {
-			state = matrix.New(rhi-rlo, chi-clo)
-		}
 		klo, khi := geom.seg(s)
 		if khi == klo {
+			if state == nil {
+				state = matrix.New(rhi-rlo, chi-clo)
+			}
 			return state, nil
 		}
 		am, err := readA(rd, i, s)
@@ -280,21 +322,32 @@ func runMulRounds(geom mulGeom, names mulNames, run func(*mapreduce.Job) error,
 		if err != nil {
 			return nil, fmt.Errorf("core: multiply block (%d,%d) seg %d B^T: %w", i, j, s, err)
 		}
-		if err := matrix.MulAddTransB(state, am, btm); err != nil {
-			return nil, err
+		if state == nil {
+			// A fresh block is the segment's product itself: the same sums
+			// the accumulating kernels would add to zeros.
+			if geom.colWalk {
+				return matrix.MulNaiveColumnOrder(am, btm)
+			}
+			return matrix.MulTransB(am, btm)
 		}
-		return state, nil
+		if geom.colWalk {
+			// Each element is the same k-ascending sum the row-dot
+			// kernel forms, so the fold stays bit-identical to it.
+			prod, err := matrix.MulNaiveColumnOrder(am, btm)
+			if err != nil {
+				return nil, err
+			}
+			return state, matrix.AddInPlace(state, prod)
+		}
+		return state, matrix.MulAddTransB(state, am, btm)
 	}
 
 	if pl.rho == 1 || pl.strategy == MultiplyReplicated {
-		job := &mapreduce.Job{
-			Name:           names.first,
-			Splits:         mapreduce.ControlSplits(geom.m0),
-			NumReduce:      geom.m0,
-			Partition:      numericPartition,
-			Prefer:         mapPrefer,
-			PreferReduce:   prefer,
-			StrictLocality: true,
+		job := pinned(&mapreduce.Job{
+			Name:      names.first,
+			Splits:    mapreduce.ControlSplits(geom.m0),
+			NumReduce: geom.m0,
+			Partition: numericPartition,
 			Map: func(ctx *mapreduce.TaskContext, split mapreduce.InputSplit, emit mapreduce.Emitter) error {
 				if err := writePieces(ctx, split.ID); err != nil {
 					return err
@@ -325,7 +378,7 @@ func runMulRounds(geom mulGeom, names mulNames, run func(*mapreduce.Job) error,
 				return ctx.FS.WriteMatrixFrom(geom.partialPath(i, j, s), blk, ctx.Node,
 					geom.withBackup([]int{geom.sumNode(i, j)}))
 			},
-		}
+		}, geom.pin)
 		if err := run(job); err != nil {
 			return err
 		}
@@ -335,11 +388,9 @@ func runMulRounds(geom mulGeom, names mulNames, run func(*mapreduce.Job) error,
 		// Deterministic sum round: map-only, block (i, j) pinned to its
 		// sum node where every partial already resides, folding them in
 		// ascending segment order — the same left fold as MulSegTransB.
-		sum := &mapreduce.Job{
-			Name:           names.sum,
-			Splits:         mapreduce.ControlSplits(grid),
-			Prefer:         prefer,
-			StrictLocality: true,
+		sum := pinned(&mapreduce.Job{
+			Name:   names.sum,
+			Splits: mapreduce.ControlSplits(grid),
 			Map: func(ctx *mapreduce.TaskContext, split mapreduce.InputSplit, emit mapreduce.Emitter) error {
 				r := split.ID
 				i, j := r/pl.g2, r%pl.g2
@@ -364,7 +415,7 @@ func runMulRounds(geom mulGeom, names mulNames, run func(*mapreduce.Job) error,
 				ctx.IncrCounter("mul.sum.elements", int64(acc.Rows)*int64(acc.Cols))
 				return finish(ctx, i, j, acc)
 			},
-		}
+		}, geom.owner)
 		return run(sum)
 	}
 
@@ -373,15 +424,12 @@ func runMulRounds(geom mulGeom, names mulNames, run func(*mapreduce.Job) error,
 	// state locally between rounds.
 	for t := 0; t < pl.rho; t++ {
 		t := t
-		job := &mapreduce.Job{
-			Name:           names.round,
-			Splits:         mapreduce.ControlSplits(geom.m0),
-			NumReduce:      grid,
-			Partition:      numericPartition,
-			Prefer:         mapPrefer,
-			PreferReduce:   prefer,
-			StrictLocality: true,
-			Config:         map[string]string{"round": fmt.Sprintf("%d", t)},
+		job := pinned(&mapreduce.Job{
+			Name:      names.round,
+			Splits:    mapreduce.ControlSplits(geom.m0),
+			NumReduce: grid,
+			Partition: numericPartition,
+			Config:    map[string]string{"round": fmt.Sprintf("%d", t)},
 			Map: func(ctx *mapreduce.TaskContext, split mapreduce.InputSplit, emit mapreduce.Emitter) error {
 				if t == 0 {
 					if err := writePieces(ctx, split.ID); err != nil {
@@ -424,7 +472,7 @@ func runMulRounds(geom mulGeom, names mulNames, run func(*mapreduce.Job) error,
 				return ctx.FS.WriteMatrixFrom(geom.statePath(i, j, t), state, ctx.Node,
 					geom.withBackup([]int{geom.sumNode(i, j)}))
 			},
-		}
+		}, geom.pin)
 		if err := run(job); err != nil {
 			return err
 		}

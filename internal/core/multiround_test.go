@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -287,6 +288,54 @@ func TestInvertWithMultiRoundStrategies(t *testing.T) {
 	}
 }
 
+// With TransposeU off every level keeps Figure 7's comparator: U2 pieces
+// are stored in natural orientation (and multiplied by the Equation 7
+// column walk); with it on they are stored transposed. Both kernels give
+// the same bits, so the inverse cannot tell them apart: check the stored
+// top-level pieces against U's top-right block directly.
+func TestLevelU2PieceOrientation(t *testing.T) {
+	const n = 64
+	a := workload.DiagonallyDominant(n, 37)
+	for _, strategy := range []MultiplyStrategy{MultiplySingleRound, MultiplyReplicated, MultiplySpaceRound} {
+		for _, transposeU := range []bool{true, false} {
+			opts := DefaultOptions(4)
+			opts.NB = 16
+			opts.Multiply = strategy
+			opts.TransposeU = transposeU
+			p, err := NewPipeline(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, u, err := p.Decompose(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := splitPoint(n)
+			nbot, mhalf := n-h, opts.Nodes/2
+			pl := planMultiply(opts, nbot, h, nbot)
+			bounds := segBoundsOf(pl, h)
+			for b := 0; b < mhalf; b++ {
+				lo, hi := bandBounds(nbot, mhalf, b)
+				for s := 0; s < pl.rho; s++ {
+					want := u.Block(bounds[s], bounds[s+1], h+lo, h+hi)
+					if transposeU {
+						want = want.Transpose()
+					}
+					path := fmt.Sprintf("%s/U2/U.%d.%d", opts.Root, b, s)
+					got, err := p.FS.ReadMatrix(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bitIdentical(got, want) {
+						t.Fatalf("%s transposeU=%v: %s is not U2 in the expected orientation",
+							strategy, transposeU, path)
+					}
+				}
+			}
+		}
+	}
+}
+
 // Solve still works when the decomposition ran with a multi-round
 // strategy (the factor references are fine band x segment tilings).
 func TestSolveWithReplicatedMultiply(t *testing.T) {
@@ -346,22 +395,39 @@ func TestRoundsForMemoryEdgeCases(t *testing.T) {
 	}
 }
 
+// Under fault injection transient pieces are padded to the replication
+// factor with the nodes following their owner; clean runs keep the single
+// favored replica, replicate pads unconditionally, and an unpinned job
+// cuts a wider placement to the factor.
 func TestWithBackupPlacement(t *testing.T) {
-	durable := mulGeom{m0: 4, durable: true}
-	if got := durable.withBackup([]int{2}); len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("backup for [2] = %v, want [2 3]", got)
+	durable := mulGeom{m0: 4, replication: 3, durable: true}
+	durable.pin = durable.owner
+	cases := []struct {
+		in, want []int
+	}{
+		{[]int{2}, []int{2, 3, 0}},
+		{[]int{3}, []int{3, 0, 1}},
+		{[]int{1, 3}, []int{1, 3, 2}},
+		{[]int{0, 1, 2}, []int{0, 1, 2}},
+		{[]int{0, 1, 2, 3}, []int{0, 1, 2, 3}},
+		{nil, nil},
 	}
-	if got := durable.withBackup([]int{3}); len(got) != 2 || got[1] != 0 {
-		t.Fatalf("backup for [3] = %v, want wrap to node 0", got)
+	for _, c := range cases {
+		if got := durable.withBackup(c.in); fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("backup for %v = %v, want %v", c.in, got, c.want)
+		}
 	}
-	if got := durable.withBackup([]int{1, 2}); len(got) != 2 {
-		t.Fatalf("two replicas gained a backup: %v", got)
-	}
-	clean := mulGeom{m0: 4, durable: false}
+	clean := mulGeom{m0: 4, replication: 3, durable: false}
 	if got := clean.withBackup([]int{2}); len(got) != 1 {
 		t.Fatalf("clean run gained a backup: %v", got)
 	}
-	tiny := mulGeom{m0: 1, durable: true}
+	if got := clean.replicate([]int{2}); fmt.Sprint(got) != "[2 3 0]" {
+		t.Fatalf("clean replicate([2]) = %v, want [2 3 0]", got)
+	}
+	if got := clean.replicate([]int{0, 1, 2, 3}); fmt.Sprint(got) != "[0 1 2]" {
+		t.Fatalf("unpinned replicate([0 1 2 3]) = %v, want [0 1 2]", got)
+	}
+	tiny := mulGeom{m0: 1, replication: 1, durable: true}
 	if got := tiny.withBackup([]int{0}); len(got) != 1 {
 		t.Fatalf("single-node cluster gained a backup: %v", got)
 	}

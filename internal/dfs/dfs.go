@@ -649,6 +649,9 @@ func (fs *FS) ResetStats() {
 // Nodes returns the number of simulated datanodes.
 func (fs *FS) Nodes() int { return fs.nodes }
 
+// Replication returns the replication factor new files are written with.
+func (fs *FS) Replication() int { return fs.replication }
+
 // ---- Node failure model ----
 //
 // The paper's Section 7.4 robustness claim rests on HDFS surviving

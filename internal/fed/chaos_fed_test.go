@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/matrix"
 	"repro/internal/serve"
 	"repro/internal/workload"
@@ -19,14 +20,27 @@ import (
 // bit-identical to the fault-free answer. Zero wrong answers, zero
 // failures.
 func TestFleetSurvivesShardChaosBitIdentical(t *testing.T) {
+	for _, strategy := range []core.MultiplyStrategy{
+		core.MultiplySingleRound, core.MultiplyReplicated, core.MultiplySpaceRound,
+	} {
+		t.Run(string(strategy), func(t *testing.T) { fleetShardChaos(t, strategy) })
+	}
+}
+
+// fleetShardChaos runs the drill with every level job routed through one
+// multiply strategy: a multi-round level's factor pieces, partials and
+// round state must survive the kills as the single job's files do.
+func fleetShardChaos(t *testing.T, strategy core.MultiplyStrategy) {
 	const shards = 2
+	shard := shardConfig()
+	shard.Opts.Multiply = strategy
 
 	// Fault-free reference fleet: same shard shape, no chaos. Digest
 	// routing is deterministic, so request i runs under identical pipeline
 	// options in both fleets and must produce identical bits.
-	clean := mustFleet(t, Config{Shards: shards, Shard: shardConfig()})
+	clean := mustFleet(t, Config{Shards: shards, Shard: shard})
 
-	sc := shardConfig()
+	sc := shard
 	sc.Chaos = &chaos.Plan{
 		Seed: 17,
 		Events: []chaos.Event{

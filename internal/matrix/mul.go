@@ -1,10 +1,6 @@
 package matrix
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // Mul returns the matrix product a*b using a cache-friendly kernel.
 //
@@ -16,14 +12,8 @@ func Mul(a, b *Dense) (*Dense, error) {
 		return nil, shapeErr("matrix: Mul", a, b)
 	}
 	out := New(a.Rows, b.Cols)
-	mulInto(out, a, b, 0, a.Rows)
-	return out, nil
-}
-
-// mulInto computes rows [r0, r1) of out = a*b.
-func mulInto(out, a, b *Dense, r0, r1 int) {
 	n, p := a.Cols, b.Cols
-	for i := r0; i < r1; i++ {
+	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
 		orow := out.Row(i)
 		for k := 0; k < n; k++ {
@@ -37,6 +27,7 @@ func mulInto(out, a, b *Dense, r0, r1 int) {
 			}
 		}
 	}
+	return out, nil
 }
 
 // MulTransB returns a * bT.Transpose(), i.e. the product of a with the
@@ -132,85 +123,5 @@ func MulNaiveColumnOrder(a, b *Dense) (*Dense, error) {
 			out.Data[i*out.Cols+j] = s
 		}
 	}
-	return out, nil
-}
-
-// DefaultTile is the cache-blocking tile edge for MulBlocked: 64x64
-// float64 tiles (32 KiB per operand tile) fit comfortably in L1/L2.
-const DefaultTile = 64
-
-// MulBlocked returns a*b with classic cache blocking: the iteration space
-// is walked in tile x tile blocks so each operand tile stays resident
-// while it is reused — the single-node analog of the paper's block-wrap
-// distribution argument (Section 6.2 cites Dackland et al.'s block LU
-// kernels). tile <= 0 selects DefaultTile.
-func MulBlocked(a, b *Dense, tile int) (*Dense, error) {
-	if a.Cols != b.Rows {
-		return nil, shapeErr("matrix: MulBlocked", a, b)
-	}
-	if tile <= 0 {
-		tile = DefaultTile
-	}
-	out := New(a.Rows, b.Cols)
-	n, p := a.Cols, b.Cols
-	for i0 := 0; i0 < a.Rows; i0 += tile {
-		i1 := minT(i0+tile, a.Rows)
-		for k0 := 0; k0 < n; k0 += tile {
-			k1 := minT(k0+tile, n)
-			for j0 := 0; j0 < p; j0 += tile {
-				j1 := minT(j0+tile, p)
-				for i := i0; i < i1; i++ {
-					arow := a.Row(i)
-					orow := out.Row(i)
-					for k := k0; k < k1; k++ {
-						aik := arow[k]
-						if aik == 0 {
-							continue
-						}
-						brow := b.Data[k*p : (k+1)*p]
-						for j := j0; j < j1; j++ {
-							orow[j] += aik * brow[j]
-						}
-					}
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-func minT(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// MulParallel returns a*b computing disjoint row bands concurrently, one
-// goroutine per available CPU (capped at the row count).
-func MulParallel(a, b *Dense) (*Dense, error) {
-	if a.Cols != b.Rows {
-		return nil, shapeErr("matrix: MulParallel", a, b)
-	}
-	out := New(a.Rows, b.Cols)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > a.Rows {
-		workers = a.Rows
-	}
-	if workers <= 1 {
-		mulInto(out, a, b, 0, a.Rows)
-		return out, nil
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		r0 := w * a.Rows / workers
-		r1 := (w + 1) * a.Rows / workers
-		wg.Add(1)
-		go func(r0, r1 int) {
-			defer wg.Done()
-			mulInto(out, a, b, r0, r1)
-		}(r0, r1)
-	}
-	wg.Wait()
 	return out, nil
 }

@@ -51,14 +51,6 @@ func TestMulVariantsAgree(t *testing.T) {
 		t.Fatal("Mul disagrees with naive kernel")
 	}
 
-	gotPar, err := MulParallel(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(gotPar, want, 1e-12) {
-		t.Fatal("MulParallel disagrees with naive kernel")
-	}
-
 	gotT, err := MulTransB(a, b.Transpose())
 	if err != nil {
 		t.Fatal(err)
@@ -68,35 +60,9 @@ func TestMulVariantsAgree(t *testing.T) {
 	}
 }
 
-func TestMulBlockedAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a := randDense(rng, 33, 29)
-	b := randDense(rng, 29, 41)
-	want, _ := Mul(a, b)
-	for _, tile := range []int{1, 4, 16, 64, 1000, 0, -1} {
-		got, err := MulBlocked(a, b, tile)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !Equal(got, want, 1e-12) {
-			t.Fatalf("tile=%d disagrees", tile)
-		}
-	}
-	if _, err := MulBlocked(New(2, 3), New(2, 3), 8); !errors.Is(err, ErrShape) {
-		t.Fatal("shape mismatch accepted")
-	}
-}
-
 func TestMulTransBShapeError(t *testing.T) {
 	// a is 2x3, bT must have Cols == 3.
 	_, err := MulTransB(New(2, 3), New(4, 2))
-	if !errors.Is(err, ErrShape) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestMulParallelShapeError(t *testing.T) {
-	_, err := MulParallel(New(2, 3), New(2, 3))
 	if !errors.Is(err, ErrShape) {
 		t.Fatalf("err = %v", err)
 	}
@@ -142,19 +108,5 @@ func TestMulZeroDimensions(t *testing.T) {
 	}
 	if got.Rows != 2 || got.Cols != 3 || MaxAbs(got) != 0 {
 		t.Fatalf("empty-inner product wrong: %v", got)
-	}
-}
-
-func TestMulParallelSingleRow(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	a := randDense(rng, 1, 64)
-	b := randDense(rng, 64, 3)
-	want, _ := Mul(a, b)
-	got, err := MulParallel(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(got, want, 1e-13) {
-		t.Fatal("single-row parallel product wrong")
 	}
 }
